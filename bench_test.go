@@ -140,7 +140,6 @@ type benchSnapshot struct {
 	GoMaxProcs int           `json:"gomaxprocs"`
 	Scale      string        `json:"scale"`
 	Tier       string        `json:"tier"`
-	Memrun     string        `json:"memrun"`
 	Sweeps     []sweepRecord `json:"sweeps"`
 }
 
@@ -173,17 +172,6 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-// memrunEnv mirrors memsim's DSM_MEMRUN resolution: the memory-run
-// batch is on unless explicitly disabled. Like the tier, it may only
-// move wall_ms, never cycles.
-func memrunEnv() string {
-	switch os.Getenv("DSM_MEMRUN") {
-	case "off", "0", "false":
-		return "off"
-	}
-	return "on"
-}
-
 func writeSnapshot(path string) error {
 	snapMu.Lock()
 	defer snapMu.Unlock()
@@ -200,8 +188,7 @@ func writeSnapshot(path string) error {
 		Scale:      "quick",
 		// The sweeps run at the Sizes default (auto), so the resolved
 		// tier is what actually executed; cycles are tier-independent.
-		Tier:   exec.TierAuto.Resolve().String(),
-		Memrun: memrunEnv(),
+		Tier: exec.TierAuto.Resolve().String(),
 	}
 	names := make([]string, 0, len(snapRecs))
 	for n := range snapRecs {

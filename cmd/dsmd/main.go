@@ -3,7 +3,7 @@
 // them through a content-addressed result cache persisted on disk, and
 // runs what remains on the simulated Origin-2000 under a bounded job queue
 // with per-tenant concurrency limits. Because simulation is deterministic
-// (bit-identical across engines and tiers), a run result is a pure
+// (bit-identical across execution tiers), a run result is a pure
 // function of its job spec: identical submissions — concurrent or days
 // apart, from any client — cost exactly one simulation.
 //
@@ -92,7 +92,14 @@ func main() {
 
 	ln, err := net.Listen("tcp", *addr)
 	die(err)
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	// Header and idle timeouts stop idle or trickling connections from
+	// holding sockets forever; there is no write timeout, because a
+	// blocking POST /jobs legitimately waits as long as its simulation.
+	httpSrv := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	go httpSrv.Serve(ln)
 	fmt.Fprintf(os.Stderr, "dsmd: serving on http://%s/\n", ln.Addr())
 

@@ -24,9 +24,6 @@
 //	              schema internal/advisor consumes (dsmadvise -heat F)
 //	-redist M     scheduled | serial (default scheduled): cost model for
 //	              c$redistribute, as in dsmrun
-//	-engine E     serial | parallel | auto (default auto): host execution
-//	              engine, as in dsmrun; profiles are bit-identical across
-//	              engines
 //	-max-quanta N raise the runaway-loop guard, as in dsmrun
 //
 // Live observability, as in dsmrun (host-side only; the profile numbers
@@ -69,7 +66,6 @@ func main() {
 	traceOut := flag.String("trace", "", "write Chrome trace-event JSON to file")
 	heatOut := flag.String("heat-json", "", "write the per-array heat map (advisor schema) to file")
 	redist := flag.String("redist", "scheduled", "c$redistribute model: scheduled | serial")
-	engineName := flag.String("engine", "auto", "host engine: serial | parallel | auto")
 	tierName := flag.String("tier", "auto", "execution tier: classic | compiled | auto")
 	maxQuanta := flag.Int64("max-quanta", 0, "runaway-loop guard: max scheduling rounds (0 = default)")
 	serveAddr := flag.String("serve", "", "serve live run views on this address (e.g. :8080)")
@@ -105,8 +101,6 @@ func main() {
 		die(fmt.Errorf("unknown machine %q (accepted: origin2000, scaled, tiny)", *machName))
 	}
 	policy, err := ospage.ParsePolicy(*policyName)
-	die(err)
-	engine, err := exec.ParseEngine(*engineName)
 	die(err)
 	tier, err := exec.ParseTier(*tierName)
 	die(err)
@@ -193,7 +187,7 @@ func main() {
 	}
 
 	run, err := exec.Run(res, cfg, exec.Options{Policy: policy, Rec: rec,
-		RedistSerial: redistSerial, Engine: engine, Tier: tier, MaxQuanta: *maxQuanta})
+		RedistSerial: redistSerial, Tier: tier, MaxQuanta: *maxQuanta})
 	die(err)
 
 	fmt.Printf("dsmprof: %d cycles (%.6f s at %d MHz), policy %s\n\n",

@@ -26,10 +26,6 @@
 //	              bulk-transfer collective across all nodes; "serial" keeps
 //	              the legacy per-page walk charged to the calling processor
 //	              (A/B comparison)
-//	-engine E     serial | parallel | auto (default auto): host execution
-//	              engine. The parallel engine runs simulated processors on
-//	              real cores; results are bit-identical to serial (the
-//	              DSM_ENGINE environment variable overrides auto)
 //	-tier T       classic | compiled | auto (default auto): bytecode
 //	              execution tier. "compiled" pre-translates the program
 //	              into fused closures; results are bit-identical to the
@@ -96,7 +92,6 @@ func main() {
 	traceOut := flag.String("trace", "", "write Chrome trace-event JSON to file")
 	prof := flag.Bool("prof", false, "print a profile breakdown after the run")
 	redist := flag.String("redist", "scheduled", "c$redistribute model: scheduled | serial")
-	engineName := flag.String("engine", "auto", "host engine: serial | parallel | auto")
 	tierName := flag.String("tier", "auto", "execution tier: classic | compiled | auto")
 	maxQuanta := flag.Int64("max-quanta", 0, "runaway-loop guard: max scheduling rounds (0 = default)")
 	jsonOut := flag.Bool("json", false, "print statistics as JSON")
@@ -127,14 +122,12 @@ func main() {
 	}
 	policy, err := ospage.ParsePolicy(*policyName)
 	die(err)
-	engine, err := exec.ParseEngine(*engineName)
-	die(err)
 	tier, err := exec.ParseTier(*tierName)
 	die(err)
 
 	if *remote != "" {
 		runRemote(*remote, *machName, *procs, *policyName, *redist,
-			*engineName, *tierName, *jsonOut, flag.Args())
+			*tierName, *jsonOut, flag.Args())
 		return
 	}
 
@@ -250,7 +243,7 @@ func main() {
 	}
 
 	run, err := exec.Run(res, cfg, exec.Options{Policy: policy, Rec: rec,
-		RedistSerial: redistSerial, Engine: engine, Tier: tier, MaxQuanta: *maxQuanta})
+		RedistSerial: redistSerial, Tier: tier, MaxQuanta: *maxQuanta})
 	die(err)
 
 	// Normal exit: Recorder.Finish drained the stream at the final clock;
@@ -267,10 +260,6 @@ func main() {
 
 	fmt.Printf("machine: %s, %d processors (%d nodes), policy %s\n",
 		cfg.Name, cfg.NProcs, cfg.NNodes(), policy)
-	if run.EngineUsed == exec.EngineParallel {
-		fmt.Printf("engine:  parallel (%d epochs committed, %d serial fallbacks)\n",
-			run.EpochsCommitted, run.EpochsFallback)
-	}
 	if run.TierUsed == exec.TierClassic {
 		fmt.Printf("tier:    classic interpreter\n")
 	}
@@ -338,7 +327,7 @@ func serveWait(addr string) {
 
 // writeJSON emits the run's simulated statistics as the canonical
 // schema-versioned result document ("v": 1). Every field is a simulated
-// quantity, so the output is byte-identical across host engines and tiers
+// quantity, so the output is byte-identical across execution tiers
 // (the CI smoke tests diff it), and byte-identical to what a dsmd service
 // caches and serves for the same job.
 func writeJSON(w *os.File, cfg *machine.Config, policy ospage.Policy, run *exec.Result) error {
@@ -349,7 +338,7 @@ func writeJSON(w *os.File, cfg *machine.Config, policy ospage.Policy, run *exec.
 // result document. The request mirrors the local defaults exactly
 // (O3, runtime checks on), so the service's document is byte-identical to
 // a local -json run of the same flags.
-func runRemote(base, machName string, procs int, policy, redist, engine, tier string, jsonOut bool, args []string) {
+func runRemote(base, machName string, procs int, policy, redist, tier string, jsonOut bool, args []string) {
 	srcs := map[string]string{}
 	for _, a := range args {
 		if strings.HasSuffix(a, ".img") {
@@ -366,7 +355,6 @@ func runRemote(base, machName string, procs int, policy, redist, engine, tier st
 		Procs:   procs,
 		Policy:  policy,
 		Redist:  redist,
-		Engine:  engine,
 		Tier:    tier,
 	})
 	die(err)

@@ -53,9 +53,6 @@ type kern struct {
 	check  int   // instructions until the next n&15 checkpoint
 	done   int32 // instructions completed inside a span before an exStop
 	status Status
-	// runBuf stages the gathered/scattered words of a fused memory-run
-	// member (memrun.go); a span holds at most maxSpanLen memory ops.
-	runBuf [maxSpanLen]uint64
 }
 
 // member is one span member: a closure covering one or more instructions
@@ -177,21 +174,9 @@ func mkSpan(fn *Fn, pc, end int, singles []cop, costs *Costs) cop {
 	var ms []member
 	flushBase := 0 // span offset just past the last cycle-flushing member
 	memAt := w     // offset of the first memory member, w if none
-	runs := findMemRuns(fn, pc, end, costs.line)
 	for i := pc; i < end; {
 		in := fn.Code[i]
 		j := i - pc
-		if r := runStarting(runs, j); r != nil {
-			// A constant-stride memory run (memrun.go): one member, one
-			// batched memsim walk, flushing through its last Ld/St.
-			if memAt == w {
-				memAt = j
-			}
-			ms = append(ms, buildRunMember(fn, pc, r, prefix, flushBase, singles))
-			flushBase = r.last + 1
-			i = pc + r.last + 1
-			continue
-		}
 		switch classify(in.Op) {
 		case classBare:
 			if i+2 < end &&
@@ -212,9 +197,8 @@ func mkSpan(fn *Fn, pc, end int, singles []cop, costs *Costs) cop {
 			}
 			// Fuse a lone bare into the following memory op (the
 			// generator's compute-address-then-access shape) or the
-			// terminal branch (loop tails). Runs claim their own heads.
-			if i+1 < end && classify(fn.Code[i+1].Op) == classMem &&
-				runStarting(runs, j+1) == nil {
+			// terminal branch (loop tails).
+			if i+1 < end && classify(fn.Code[i+1].Op) == classMem {
 				j1 := j + 1
 				if memAt == w {
 					memAt = j1
@@ -245,8 +229,7 @@ func mkSpan(fn *Fn, pc, end int, singles []cop, costs *Costs) cop {
 			}
 			m := memMember(i, in, prefix[j+1]-prefix[flushBase], int32(j))
 			flushBase = j + 1
-			if i+1 < end && classify(fn.Code[i+1].Op) == classMem &&
-				runStarting(runs, j+1) == nil {
+			if i+1 < end && classify(fn.Code[i+1].Op) == classMem {
 				j1 := j + 1
 				m = compose2x(m, memMember(i+1, fn.Code[i+1], prefix[j1+1]-prefix[flushBase], int32(j1)))
 				flushBase = j1 + 1
@@ -1074,4 +1057,72 @@ func mkSingle(pc int, in Instr, costs *Costs) cop {
 			return exStop
 		}}
 	}
+}
+
+// compose2x chains two members, stopping on any non-exRun exit. Used for
+// tail fusion of (bare, branch) and (mem, mem) neighbors, where a
+// hand-written closure would buy nothing beyond skipping one member-loop
+// iteration.
+func compose2x(m1, m2 member) member {
+	return func(k *kern) copExit {
+		if ex := m1(k); ex != exRun {
+			return ex
+		}
+		return m2(k)
+	}
+}
+
+// fuseBareMem fuses a bare instruction with the following Ld/St into one
+// member. The generator's dominant subscript shape — compute an element
+// address, then load or store through it — makes (Add, Ld) and (Add, St)
+// the two hottest member pairs in array kernels, so those are fully
+// hand-inlined; every other bare partner goes through the generic
+// composition. flushAdd/done follow memMember's contract for the memory
+// instruction.
+func fuseBareMem(bare Instr, pcM int, mem Instr, flushAdd int64, done int32) member {
+	a2, b2 := int(mem.A), int(mem.B)
+	imm := mem.Imm
+	next := pcM + 1
+	if bare.Op == Add {
+		a1, b1, c1 := int(bare.A), int(bare.B), int(bare.C)
+		if mem.Op == Ld {
+			return func(k *kern) copExit {
+				r := k.r
+				r[a1] = r[b1] + r[c1]
+				t := k.t
+				sys := t.Sys
+				addr := r[b2] + imm
+				if addr < 8 || addr >= sys.Brk() {
+					k.cyc += flushAdd
+					k.done = done
+					k.f.pc = next
+					k.status = t.trap(k.f, "load from invalid address %d", addr)
+					return exStop
+				}
+				sys.AddCycles(k.proc, k.cyc+flushAdd)
+				k.cyc = 0
+				r[a2] = int64(sys.LoadWord(k.proc, addr))
+				return exRun
+			}
+		}
+		return func(k *kern) copExit {
+			r := k.r
+			r[a1] = r[b1] + r[c1]
+			t := k.t
+			sys := t.Sys
+			addr := r[b2] + imm
+			if addr < 8 || addr >= sys.Brk() {
+				k.cyc += flushAdd
+				k.done = done
+				k.f.pc = next
+				k.status = t.trap(k.f, "store to invalid address %d", addr)
+				return exStop
+			}
+			sys.AddCycles(k.proc, k.cyc+flushAdd)
+			k.cyc = 0
+			sys.StoreWord(k.proc, addr, uint64(r[a2]))
+			return exRun
+		}
+	}
+	return nil
 }

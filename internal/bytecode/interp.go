@@ -38,10 +38,6 @@ var ErrBarrier = errors.New("bytecode: barrier rendezvous")
 type Costs struct {
 	tab  [256]int64
 	ldst int64
-	// line is the simulated L1 line size in bytes; the compiler's run
-	// recognizer (memrun.go) only fuses memory runs whose stride keeps
-	// several words per line, where batching the walk actually pays.
-	line int64
 }
 
 // NewCosts builds the cycle table.
@@ -68,7 +64,6 @@ func NewCosts(cfg *machine.Config) *Costs {
 	set([]Op{Halt, RTC}, cfg.IntOpCyc)
 	set([]Op{Ld, St}, cfg.IntOpCyc)
 	c.ldst = int64(cfg.IntOpCyc)
-	c.line = int64(cfg.L1LineSize)
 	return c
 }
 
@@ -222,9 +217,9 @@ func (t *Thread) Step(quantum int) Status {
 // the cycle bound is only consulted at instruction counts n with n&15 == 0,
 // *before* executing instruction n, comparing Clock+cyc-start >= maxCyc;
 // the break charges the pending cycles but counts the unexecuted iteration
-// in Instrs. Quantum boundaries feed the serial scheduler's round-robin
-// and the parallel engine's epoch validation, so a tier that breaks at
-// different points changes simulated arrival order.
+// in Instrs. Quantum boundaries feed the region scheduler's choice of the
+// next processor, so a tier that breaks at different points changes
+// simulated arrival order.
 //
 // Cycle and instruction counts accumulate in locals and are flushed at the
 // exits and before every memory or runtime call (the memory model's

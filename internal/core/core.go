@@ -126,12 +126,6 @@ type RunOptions struct {
 	// RedistSerial selects the legacy serial c$redistribute cost model
 	// instead of the scheduled collective (see exec.Options).
 	RedistSerial bool
-	// Engine selects the host execution engine (serial, parallel, auto);
-	// simulation results are bit-identical either way (see exec.Engine).
-	Engine exec.Engine
-	// Workers fixes the parallel engine's host goroutines per region; 0
-	// draws from the shared hostpool budget.
-	Workers int
 	// MaxQuanta raises the runaway-loop guard (0 keeps the default).
 	MaxQuanta int64
 	// Tier selects the bytecode execution tier (classic, compiled, auto);
@@ -143,9 +137,7 @@ type RunOptions struct {
 func Run(img *link.Image, cfg *machine.Config, opts RunOptions) (*exec.Result, error) {
 	return exec.Run(img.Res, cfg, exec.Options{
 		Policy: opts.Policy, Quantum: opts.Quantum, Rec: opts.Recorder,
-		RedistSerial: opts.RedistSerial,
-		Engine:       opts.Engine, Workers: opts.Workers, MaxQuanta: opts.MaxQuanta,
-		Tier:         opts.Tier})
+		RedistSerial: opts.RedistSerial, MaxQuanta: opts.MaxQuanta, Tier: opts.Tier})
 }
 
 // Array extracts an array's logical contents from a finished run. Unit is

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -14,20 +13,17 @@ import (
 	"dsmdist/internal/ospage"
 )
 
-// The engine fuzz harness: seeded random programs over doacross nests,
-// distribution specs, schedule types, explicit barriers, and redistributes,
-// each run under the serial and the parallel engine and compared
-// bit-for-bit — per-processor stats, cycles, operation counters, the
-// profiler's region breakdown, and final array contents. Any divergence is
-// an engine bug by definition (the parallel engine's contract is exact
-// serial semantics).
+// The random-program generator shared by the fuzz harnesses (tier fuzz,
+// series determinism): seeded random programs over doacross nests,
+// distribution specs, schedule types, explicit barriers, and
+// redistributes.
 
 // fuzzSpecs are the distribution specs the generator draws from (the empty
 // spec leaves the array under the run's page policy).
 var fuzzSpecs = []string{"", "(*, block)", "(block, *)", "(cyclic(4), *)", "(*, cyclic(2))"}
 
 // fuzzScheds are schedule-type clauses; dynamic and gss go through
-// RTDynGrab, which the speculative engine must handle via serial fallback.
+// RTDynGrab, the runtime's shared iteration counter.
 var fuzzScheds = []string{"", " schedtype(simple)", " schedtype(dynamic, 2)",
 	" schedtype(interleave, 3)", " schedtype(gss)"}
 
@@ -105,22 +101,10 @@ func genProgram(rng *rand.Rand) string {
 	return b.String()
 }
 
-// fuzzRun executes src under one engine and returns everything the
-// equivalence check compares.
-func fuzzRun(t *testing.T, src string, np int, eng exec.Engine) (*exec.Result, []byte, [][]float64) {
-	return fuzzRunTier(t, src, np, eng, exec.TierAuto)
-}
-
-// fuzzRunMem is fuzzRun with the memory-run batching switch pinned
-// ("on" or "off"); memsim reads DSM_MEMRUN at System construction.
-func fuzzRunMem(t *testing.T, src string, np int, eng exec.Engine, memrun string) (*exec.Result, []byte, [][]float64) {
-	t.Setenv("DSM_MEMRUN", memrun)
-	return fuzzRunTier(t, src, np, eng, exec.TierAuto)
-}
-
-// fuzzRunTier is fuzzRun with an explicit execution tier (the tier fuzz
-// harness pins both tiers; TierAuto defers to DSM_TIER/default).
-func fuzzRunTier(t *testing.T, src string, np int, eng exec.Engine, tier exec.Tier) (*exec.Result, []byte, [][]float64) {
+// fuzzRun executes src under one execution tier and returns everything
+// the equivalence checks compare: the result, the profiler's region
+// breakdown, and the final contents of arrays a, b and c.
+func fuzzRun(t *testing.T, src string, np int, tier exec.Tier) (*exec.Result, []byte, [][]float64) {
 	t.Helper()
 	tc := New()
 	tc.RuntimeChecks = false
@@ -130,10 +114,9 @@ func fuzzRunTier(t *testing.T, src string, np int, eng exec.Engine, tier exec.Ti
 	}
 	cfg := machine.Tiny(np)
 	rec := obs.NewRecorder(cfg)
-	res, err := Run(image, cfg, RunOptions{
-		Policy: ospage.FirstTouch, Recorder: rec, Engine: eng, Workers: 4, Tier: tier})
+	res, err := Run(image, cfg, RunOptions{Policy: ospage.FirstTouch, Recorder: rec, Tier: tier})
 	if err != nil {
-		t.Fatalf("%v engine %v tier P=%d: %v\n%s", eng, tier, np, err, src)
+		t.Fatalf("%v tier P=%d: %v\n%s", tier, np, err, src)
 	}
 	var sum bytes.Buffer
 	if err := rec.Summarize(10).WriteJSON(&sum); err != nil {
@@ -148,57 +131,4 @@ func fuzzRunTier(t *testing.T, src string, np int, eng exec.Engine, tier exec.Ti
 		arrays = append(arrays, v)
 	}
 	return res, sum.Bytes(), arrays
-}
-
-// TestEngineFuzzSerialVsParallel is the randomized equivalence harness.
-func TestEngineFuzzSerialVsParallel(t *testing.T) {
-	seeds := []int64{1, 2, 3, 4, 5, 6}
-	procs := []int{1, 4, 16, 96}
-	if testing.Short() {
-		seeds = seeds[:3]
-		procs = []int{1, 4, 16}
-	}
-	for _, seed := range seeds {
-		src := genProgram(rand.New(rand.NewSource(seed)))
-		for _, np := range procs {
-			// The memory-run batch is a host optimization with the same
-			// contract as the engines: toggling it may not move a simulated
-			// cycle. Fuzz both settings, and pin serial/memrun-on as the
-			// single reference every other combination must match.
-			var ref *exec.Result
-			var refSum []byte
-			var refArr [][]float64
-			for _, memrun := range []string{"on", "off"} {
-				s, ssum, sarr := fuzzRunMem(t, src, np, exec.EngineSerial, memrun)
-				p, psum, parr := fuzzRunMem(t, src, np, exec.EngineParallel, memrun)
-				if ref == nil {
-					ref, refSum, refArr = s, ssum, sarr
-				}
-				for _, run := range []struct {
-					eng string
-					r   *exec.Result
-					sum []byte
-					arr [][]float64
-				}{{"serial", s, ssum, sarr}, {"parallel", p, psum, parr}} {
-					label := fmt.Sprintf("seed=%d P=%d engine=%s memrun=%s", seed, np, run.eng, memrun)
-					if ref.Cycles != run.r.Cycles {
-						t.Errorf("%s: cycles %d vs %d\n%s", label, ref.Cycles, run.r.Cycles, src)
-						continue
-					}
-					if !reflect.DeepEqual(ref.Stats, run.r.Stats) || ref.Total != run.r.Total {
-						t.Errorf("%s: proc stats diverge\n%s", label, src)
-					}
-					if ref.HwDiv != run.r.HwDiv || ref.SoftDiv != run.r.SoftDiv || ref.Instrs != run.r.Instrs {
-						t.Errorf("%s: op counters diverge\n%s", label, src)
-					}
-					if !bytes.Equal(refSum, run.sum) {
-						t.Errorf("%s: region breakdowns diverge\n%s", label, src)
-					}
-					if !reflect.DeepEqual(refArr, run.arr) {
-						t.Errorf("%s: final array contents diverge\n%s", label, src)
-					}
-				}
-			}
-		}
-	}
 }

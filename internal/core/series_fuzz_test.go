@@ -2,25 +2,24 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"testing"
 
-	"dsmdist/internal/exec"
 	"dsmdist/internal/machine"
 	"dsmdist/internal/obs"
 	"dsmdist/internal/ospage"
 )
 
-// The series contract on top of the engine-equivalence contract: every
-// cycle-sampled snapshot row is a pure function of the recorder event
-// stream, so the rows must be byte-identical between the serial and the
-// parallel engine, and across repeated runs — not just the end-of-run
-// totals the main fuzz harness compares.
+// The series contract: every cycle-sampled snapshot row is a pure
+// function of the recorder event stream, so repeated runs of one program
+// must emit byte-identical rows — not just the end-of-run totals the tier
+// fuzz compares.
 
-// seriesRun executes src under one engine with cycle sampling on and
-// returns the marshaled rows.
-func seriesRun(t *testing.T, src string, np int, eng exec.Engine) [][]byte {
+// seriesRun executes src with cycle sampling on and returns the marshaled
+// rows.
+func seriesRun(t *testing.T, src string, np int) []json.RawMessage {
 	t.Helper()
 	tc := New()
 	tc.RuntimeChecks = false
@@ -31,51 +30,32 @@ func seriesRun(t *testing.T, src string, np int, eng exec.Engine) [][]byte {
 	cfg := machine.Tiny(np)
 	rec := obs.NewRecorder(cfg)
 	rec.EnableSeries(20000, nil)
-	if _, err := Run(image, cfg, RunOptions{
-		Policy: ospage.FirstTouch, Recorder: rec, Engine: eng, Workers: 4}); err != nil {
-		t.Fatalf("%v engine P=%d: %v\n%s", eng, np, err, src)
+	if _, err := Run(image, cfg, RunOptions{Policy: ospage.FirstTouch, Recorder: rec}); err != nil {
+		t.Fatalf("P=%d: %v\n%s", np, err, src)
 	}
-	rows := rec.SeriesRows()
-	out := make([][]byte, len(rows))
-	for i, r := range rows {
-		out[i] = r
-	}
-	return out
+	return rec.SeriesRows()
 }
 
-// TestSeriesFuzzEngineIdentical fuzzes random programs through both
-// engines and demands the full series — row count, order, and every byte
-// of every row — agree, and that a second parallel run reproduces it.
-func TestSeriesFuzzEngineIdentical(t *testing.T) {
+// TestSeriesFuzzDeterministic runs random programs twice and demands the
+// full series — row count, order, and every byte of every row — agree.
+func TestSeriesFuzzDeterministic(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		src := genProgram(rand.New(rand.NewSource(seed)))
 		for _, np := range []int{4, 16} {
 			label := fmt.Sprintf("seed=%d P=%d", seed, np)
-			s := seriesRun(t, src, np, exec.EngineSerial)
-			p := seriesRun(t, src, np, exec.EngineParallel)
-			p2 := seriesRun(t, src, np, exec.EngineParallel)
-			if len(s) == 0 {
+			a := seriesRun(t, src, np)
+			b := seriesRun(t, src, np)
+			if len(a) == 0 {
 				t.Errorf("%s: no series rows emitted\n%s", label, src)
 				continue
 			}
-			if len(s) != len(p) {
-				t.Errorf("%s: %d rows serial, %d parallel\n%s", label, len(s), len(p), src)
+			if len(a) != len(b) {
+				t.Errorf("%s: repeat run emitted %d rows, first run %d\n%s", label, len(b), len(a), src)
 				continue
 			}
-			for i := range s {
-				if !bytes.Equal(s[i], p[i]) {
-					t.Errorf("%s: row %d diverges between engines\nserial:   %s\nparallel: %s",
-						label, i, s[i], p[i])
-					break
-				}
-			}
-			if len(p) != len(p2) {
-				t.Errorf("%s: repeat parallel run emitted %d rows, first run %d", label, len(p2), len(p))
-				continue
-			}
-			for i := range p {
-				if !bytes.Equal(p[i], p2[i]) {
-					t.Errorf("%s: row %d not reproducible across parallel runs", label, i)
+			for i := range a {
+				if !bytes.Equal(a[i], b[i]) {
+					t.Errorf("%s: row %d not reproducible\nfirst:  %s\nrepeat: %s", label, i, a[i], b[i])
 					break
 				}
 			}

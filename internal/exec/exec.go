@@ -5,10 +5,9 @@
 // every region (paper §3.1 "an implicit barrier at the end of the doacross
 // loop"); explicit dsm_barrier calls rendezvous inside regions.
 //
-// Two engines execute regions: the serial engine interleaves all simulated
-// processors on one goroutine; the parallel engine (parallel.go) runs them
-// on real host cores in speculative epochs. Both are bit-identical in every
-// simulated cycle, stat, and recorder event.
+// One serial scheduler (region.go) interleaves all simulated processors on
+// one goroutine; host parallelism comes from running independent
+// simulations side by side (experiments sweeps, dsmd jobs).
 package exec
 
 import (
@@ -16,7 +15,6 @@ import (
 
 	"dsmdist/internal/bytecode"
 	"dsmdist/internal/codegen"
-	"dsmdist/internal/hostpool"
 	"dsmdist/internal/machine"
 	"dsmdist/internal/memsim"
 	"dsmdist/internal/obs"
@@ -41,14 +39,6 @@ type Options struct {
 	// (a page walk charged to the calling processor) instead of the
 	// scheduled bulk-transfer collective — the -redist=serial A/B switch.
 	RedistSerial bool
-	// Engine selects the host execution engine (serial, parallel, auto).
-	// Results are bit-identical either way; see Engine.
-	Engine Engine
-	// Workers fixes the number of host goroutines the parallel engine may
-	// use per region. 0 (the default) draws from the shared hostpool
-	// budget each region, cooperating with experiments.ForEach; the
-	// DSM_WORKERS environment variable fills an unset value.
-	Workers int
 	// Tier selects the bytecode execution tier (classic, compiled, auto).
 	// Results are bit-identical either way; see Tier.
 	Tier Tier
@@ -72,17 +62,11 @@ type Result struct {
 	// program never called the timer.
 	TimerCycles int64
 
-	// EngineUsed is the engine that actually ran (after auto/env
-	// resolution); diagnostics only.
+	// EngineUsed is always EngineSerial; see Engine.
 	EngineUsed Engine
 	// TierUsed is the execution tier that actually ran (after auto/env
 	// resolution); diagnostics only.
 	TierUsed Tier
-	// EpochsCommitted / EpochsFallback count the parallel engine's
-	// speculative epochs that published vs. re-ran serially (always 0
-	// under the serial engine); diagnostics only.
-	EpochsCommitted int64
-	EpochsFallback  int64
 }
 
 // Seconds converts the run's cycles to seconds on the simulated clock.
@@ -106,7 +90,6 @@ func RunLoaded(rt *rtl.Runtime, opts Options) (*Result, error) {
 	if opts.RedistSerial {
 		rt.RedistSerial = true
 	}
-	cfg := rt.Cfg
 	quantum := opts.Quantum
 	if quantum <= 0 {
 		quantum = 2000
@@ -115,10 +98,8 @@ func RunLoaded(rt *rtl.Runtime, opts Options) (*Result, error) {
 	if maxQuanta <= 0 {
 		maxQuanta = 1 << 34
 	}
-	engine := resolveEngine(opts.Engine, cfg.NProcs)
 	tier := resolveTier(opts.Tier)
-	workers := resolveWorkers(opts.Workers)
-	costs := bytecode.NewCosts(cfg)
+	costs := bytecode.NewCosts(rt.Cfg)
 
 	// Derived per-function metadata (out-arg buffer sizes); idempotent,
 	// and needed by both tiers' frame preallocation.
@@ -132,7 +113,7 @@ func RunLoaded(rt *rtl.Runtime, opts Options) (*Result, error) {
 		rt.StackBase[0], rt.StackEnd[0])
 	serial.UseCompiled(cp)
 
-	acc := &Result{RT: rt, EngineUsed: engine, TierUsed: tier}
+	acc := &Result{RT: rt, EngineUsed: EngineSerial, TierUsed: tier}
 	var rounds int64
 	for {
 		rounds++
@@ -153,38 +134,12 @@ func RunLoaded(rt *rtl.Runtime, opts Options) (*Result, error) {
 		case bytecode.AtBarrier:
 			// A barrier in serial code synchronizes nothing.
 		case bytecode.AtParCall:
-			var err error
-			if engine == EngineParallel {
-				err = runRegionWithWorkers(rt, costs, serial, quantum, maxQuanta, workers, acc)
-			} else {
-				err = runRegion(rt, costs, serial, quantum, maxQuanta, acc)
-			}
-			if err != nil {
+			if err := runRegion(rt, costs, serial, quantum, maxQuanta, acc); err != nil {
 				return nil, err
 			}
 			serial.Resume()
 		}
 	}
-}
-
-// runRegionWithWorkers sizes the parallel engine's worker set for one
-// region and runs it. With Workers unset we draw extra workers from the
-// shared hostpool budget (the caller's goroutine is always one worker);
-// an explicit Workers bypasses the pool so tests can force concurrency on
-// small hosts.
-func runRegionWithWorkers(rt *rtl.Runtime, costs *bytecode.Costs, serial *bytecode.Thread,
-	quantum int, maxQuanta int64, workers int, acc *Result) error {
-
-	np := rt.Cfg.NProcs
-	if workers <= 0 {
-		extra := hostpool.Acquire(np - 1)
-		defer hostpool.Release(extra)
-		workers = 1 + extra
-	}
-	if workers > np {
-		workers = np
-	}
-	return runRegionParallel(rt, costs, serial, quantum, maxQuanta, workers, acc)
 }
 
 func finish(r *Result) {

@@ -11,7 +11,7 @@ import (
 	"dsmdist/internal/xform"
 )
 
-func runSrc(t *testing.T, src string, nprocs int) (*Result, error) {
+func compileSrc(t *testing.T, src string) *link.Image {
 	t.Helper()
 	o, err := obj.Compile("x.f", src)
 	if err != nil {
@@ -21,7 +21,12 @@ func runSrc(t *testing.T, src string, nprocs int) (*Result, error) {
 	if err != nil {
 		t.Fatalf("link: %v", err)
 	}
-	return Run(img.Res, machine.Tiny(nprocs), Options{Policy: ospage.FirstTouch})
+	return img
+}
+
+func runSrc(t *testing.T, src string, nprocs int) (*Result, error) {
+	t.Helper()
+	return Run(compileSrc(t, src).Res, machine.Tiny(nprocs), Options{Policy: ospage.FirstTouch})
 }
 
 func TestExplicitBarrierInsideRegion(t *testing.T) {
@@ -182,5 +187,27 @@ c$doacross local(i) shared(a)
 		if v != 10.0 {
 			t.Fatalf("a[%d] = %v", i, v)
 		}
+	}
+}
+
+// TestQuantumBudgetErrorNamesFlag checks the runaway guard reports the
+// limit and how to raise it.
+func TestQuantumBudgetErrorNamesFlag(t *testing.T) {
+	img := compileSrc(t, `
+      program p
+      real*8 a(8192)
+      integer i, it
+      do it = 1, 4
+c$doacross local(i) shared(a)
+      do i = 1, 8192
+        a(i) = a(i) + dble(i)
+      end do
+      end do
+      end
+`)
+	_, err := Run(img.Res, machine.Tiny(4), Options{Policy: ospage.FirstTouch, MaxQuanta: 8})
+	if err == nil || !strings.Contains(err.Error(), "quantum budget of 8") ||
+		!strings.Contains(err.Error(), "-max-quanta") {
+		t.Errorf("budget error = %v", err)
 	}
 }

@@ -11,9 +11,7 @@ import (
 //
 // Both tiers are bit-identical in simulated behavior — every charged
 // cycle, stat counter, trap message, and quantum break point is the same;
-// only host wall time differs. The tier axis is orthogonal to the Engine
-// axis: any tier composes with any engine, including the parallel
-// engine's speculative scout replays.
+// only host wall time differs.
 type Tier int
 
 const (

@@ -1,12 +1,13 @@
 // Package hostpool is the process-wide budget for *host* parallelism.
 //
-// Two layers of the harness want to spawn goroutines that burn a real CPU
-// each: experiment sweeps (`experiments.ForEach`, dsmbench -par N) and the
-// parallel execution engine (`exec` running one scout goroutine per
-// simulated processor). Composed naively a sweep at -par N over points at
-// P processors would spawn N×P workers; instead both layers draw *extra*
-// workers from this single counting budget and fall back to doing the work
-// on their own goroutine when the pool is dry.
+// Each simulation runs on one goroutine, so the host's cores are used by
+// running independent simulations side by side: the points of an
+// experiment sweep (`experiments.ForEach`, dsmbench -par N, the advisor's
+// verification runs) and the jobs of a dsmd server. All of them draw
+// *extra* workers from this single counting budget, so a sweep started
+// inside a busy process, or a nested fan-out, never oversubscribes the
+// machine; a caller whose draw comes back empty does the work on its own
+// goroutine.
 //
 // The convention: every caller implicitly owns the goroutine it is already
 // running on, so a budget of B means "at most B goroutines working at

@@ -69,3 +69,41 @@ func TestL0FastPathBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkLoadWord measures the word-at-a-time path: the L0-memo hit
+// (every access to the same resident line) and the L2-miss fill (striding
+// by L2 lines through a footprint several times the L2).
+func BenchmarkLoadWord(b *testing.B) {
+	b.Run("hit", func(b *testing.B) {
+		cfg := machine.Tiny(1)
+		s, err := New(cfg, ospage.New(cfg))
+		if err != nil {
+			b.Fatal(err)
+		}
+		base := s.Alloc(int64(cfg.PageBytes), int64(cfg.PageBytes))
+		s.LoadWord(0, base)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.LoadWord(0, base)
+		}
+	})
+	b.Run("miss", func(b *testing.B) {
+		cfg := machine.Tiny(1)
+		s, err := New(cfg, ospage.New(cfg))
+		if err != nil {
+			b.Fatal(err)
+		}
+		span := int64(cfg.L2Bytes) * 8
+		base := s.Alloc(span, int64(cfg.PageBytes))
+		step := int64(cfg.L2LineSize)
+		off := int64(0)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.LoadWord(0, base+off)
+			off += step
+			if off >= span {
+				off = 0
+			}
+		}
+	})
+}

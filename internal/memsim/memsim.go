@@ -301,17 +301,14 @@ type proc struct {
 	// the fast path never matches.
 	l1Hit  int64
 	noMemo bool
-	// leanRun gates the run-batched fast path in AccessRun et al.
-	// (System.SetMemRun / DSM_MEMRUN); cleared per-proc for the same
-	// reason noMemo is.
-	leanRun bool
-
-	// sc, when non-nil, routes this processor's accesses through scout
-	// mode (speculative epoch of the parallel engine; see scout.go).
-	// scSpare parks the context between epochs for reuse.
-	sc      *scoutCtx
-	scSpare *scoutCtx
 }
+
+// l0Ways sizes the per-processor L0 memo table (direct-mapped on the low
+// bits of the L1 line number); see proc.l0Slot.
+const (
+	l0Ways = 8
+	l0Mask = int64(l0Ways - 1)
+)
 
 // System is the shared memory system for one simulated run.
 type System struct {
@@ -344,12 +341,6 @@ type System struct {
 	// nil-guarded and placed off the arithmetic paths, so a run without
 	// a recorder is cycle-for-cycle identical.
 	rec *obs.Recorder
-
-	// Scout-epoch validation state (see scout.go): a monotone epoch
-	// counter and a per-directory-line claim table stamped
-	// epoch<<8|proc+1 so disjointness checks need no clearing.
-	scoutEpoch int64
-	claim      []int64
 }
 
 // SetL0 enables or disables the host-side access fast paths (the per-
@@ -431,19 +422,14 @@ func New(cfg *machine.Config, pm *ospage.Manager) (*System, error) {
 	if s.l1Per2 < 1 {
 		s.l1Per2 = 1
 	}
-	// The lean run path assumes an L2 line never crosses a page (true of
-	// every real Origin-like config); fall back to word walks otherwise.
-	// DSM_MEMRUN=off|0|false disables it from the environment.
-	leanRun := cfg.L2LineSize <= cfg.PageBytes && memRunEnv()
 	s.procs = make([]*proc, cfg.NProcs)
 	for p := range s.procs {
 		s.procs[p] = &proc{
-			l1:      newCache(cfg.L1Bytes, cfg.L1LineSize, cfg.L1Assoc),
-			l2:      newCache(cfg.L2Bytes, cfg.L2LineSize, cfg.L2Assoc),
-			tlb:     newTLB(cfg.TLBEntries),
-			node:    cfg.NodeOf(p),
-			l1Hit:   int64(cfg.L1HitCyc),
-			leanRun: leanRun,
+			l1:    newCache(cfg.L1Bytes, cfg.L1LineSize, cfg.L1Assoc),
+			l2:    newCache(cfg.L2Bytes, cfg.L2LineSize, cfg.L2Assoc),
+			tlb:   newTLB(cfg.TLBEntries),
+			node:  cfg.NodeOf(p),
+			l1Hit: int64(cfg.L1HitCyc),
 		}
 		for i := range s.procs[p].l0Slot {
 			s.procs[p].l0Slot[i] = s.procs[p].l1.sent
@@ -605,10 +591,6 @@ func (s *System) evictL2(p int, victim int64, wasExcl bool) {
 // touch the backing store; LoadWord/StoreWord wrap it with data movement.
 func (s *System) Access(p int, addr int64, write bool) {
 	pr := s.procs[p]
-	if pr.sc != nil {
-		s.scoutAccess(p, pr, addr, write)
-		return
-	}
 	cfg := s.Cfg
 	l1line := addr >> pr.l1.shift
 	if write {
@@ -648,7 +630,7 @@ func (s *System) Access(p int, addr int64, write bool) {
 
 	pr.stats.L1Miss++
 	if s.rec != nil {
-		s.rec.L1Miss(p, 1)
+		s.rec.L1Miss(p)
 	}
 	lat := int64(cfg.L2HitCyc)
 
@@ -659,7 +641,7 @@ func (s *System) Access(p int, addr int64, write bool) {
 		lat += int64(cfg.TLBMissCyc)
 		pr.stats.TLBCyc += int64(cfg.TLBMissCyc)
 		if s.rec != nil {
-			s.rec.TLBMiss(p, pr.node, addr, int64(cfg.TLBMissCyc), pr.clock, 1)
+			s.rec.TLBMiss(p, pr.node, addr, int64(cfg.TLBMissCyc), pr.clock)
 		}
 	}
 
@@ -679,7 +661,7 @@ func (s *System) Access(p int, addr int64, write bool) {
 			if s.rec != nil {
 				s.rec.Intervention()
 				s.rec.L2Miss(p, pr.node, home, addr,
-					int64(cfg.RemoteLatency(pr.node, s.procs[d.owner].node)+cfg.CoherenceCyc), pr.clock, 1)
+					int64(cfg.RemoteLatency(pr.node, s.procs[d.owner].node)+cfg.CoherenceCyc), pr.clock)
 			}
 			lat += int64(cfg.RemoteLatency(pr.node, s.procs[d.owner].node) + cfg.CoherenceCyc)
 			d.owner = -1
@@ -696,12 +678,12 @@ func (s *System) Access(p int, addr int64, write bool) {
 				lat += wait
 				pr.stats.WaitCyc += wait
 				if s.rec != nil {
-					s.rec.BWWait(p, home, wait, 1)
+					s.rec.BWWait(p, home, wait)
 				}
 			}
 			lat += base
 			if s.rec != nil {
-				s.rec.L2Miss(p, pr.node, home, addr, base, pr.clock, 1)
+				s.rec.L2Miss(p, pr.node, home, addr, base, pr.clock)
 			}
 			if home == pr.node {
 				pr.stats.L2MissLocal++
@@ -752,19 +734,16 @@ func (s *System) LoadWord(p int, addr int64) uint64 {
 	pr := s.procs[p]
 	l1line := addr >> pr.l1.shift
 	m := l1line & l0Mask
-	if pr.l1.tags[pr.l0Slot[m]] == l1line && pr.sc == nil {
+	if pr.l1.tags[pr.l0Slot[m]] == l1line {
 		pr.stats.Loads++
 		pr.l1.lru[l1line&pr.l1.mask] = pr.l0Way[m]
 		pr.clock += pr.l1Hit
 		return s.mem[addr>>3]
 	}
-	return s.loadWordSlow(p, pr, addr)
+	return s.loadWordSlow(p, addr)
 }
 
-func (s *System) loadWordSlow(p int, pr *proc, addr int64) uint64 {
-	if pr.sc != nil {
-		return s.scoutLoadWord(p, pr, addr)
-	}
+func (s *System) loadWordSlow(p int, addr int64) uint64 {
 	// Issue the host-side data load before the simulation walk: Access
 	// never reads or writes the backing store, and the walk's own work
 	// (tags, directory, TLB) then overlaps the host cache miss that a
@@ -781,21 +760,17 @@ func (s *System) StoreWord(p int, addr int64, v uint64) {
 	pr := s.procs[p]
 	l1line := addr >> pr.l1.shift
 	m := l1line & l0Mask
-	if slot := pr.l0Slot[m]; pr.l1.tags[slot] == l1line && pr.l1.excl[slot] && pr.sc == nil {
+	if slot := pr.l0Slot[m]; pr.l1.tags[slot] == l1line && pr.l1.excl[slot] {
 		pr.stats.Stores++
 		pr.l1.lru[l1line&pr.l1.mask] = pr.l0Way[m]
 		pr.clock += pr.l1Hit
 		s.mem[addr>>3] = v
 		return
 	}
-	s.storeWordSlow(p, pr, addr, v)
+	s.storeWordSlow(p, addr, v)
 }
 
-func (s *System) storeWordSlow(p int, pr *proc, addr int64, v uint64) {
-	if pr.sc != nil {
-		s.scoutStoreWord(p, pr, addr, v)
-		return
-	}
+func (s *System) storeWordSlow(p int, addr int64, v uint64) {
 	// As in LoadWord, touch the backing store before the walk so the host
 	// write miss overlaps the simulation work (Access never touches mem).
 	s.mem[addr>>3] = v

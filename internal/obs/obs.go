@@ -264,13 +264,6 @@ type Recorder struct {
 
 	// procObs accumulates the per-processor event view (see ProcObs).
 	procObs []ProcObs
-
-	// Engine health, published by the parallel engine at each epoch
-	// boundary (EpochOutcome). Host-side diagnostics only: the counters
-	// never feed the snapshot time-series rows, which must stay
-	// engine-independent, but the live /snapshot view reports them.
-	epochsCommitted int64
-	epochsFallback  int64
 }
 
 // NewRecorder creates a recorder for one run on the given machine.
@@ -444,80 +437,75 @@ func (r *Recorder) advanceNow(clock int64) {
 	}
 }
 
-// L1Miss records n primary-cache misses by processor p. Batched counts
-// come from the memsim run fast path; n identical events aggregate
-// exactly as n single calls would.
-func (r *Recorder) L1Miss(p, n int) {
+// L1Miss records a primary-cache miss by processor p.
+func (r *Recorder) L1Miss(p int) {
 	if r != nil {
-		r.counts[KL1Miss] += int64(n)
-		r.cur.L1Miss += int64(n)
-		r.procObs[p].L1Miss += int64(n)
+		r.counts[KL1Miss]++
+		r.cur.L1Miss++
+		r.procObs[p].L1Miss++
 	}
 }
 
-// L2Miss records n identical secondary-cache misses: the accessing
-// processor, its node, the home (serving) node, the missed address, and
-// the per-miss fetch latency (excluding queuing, reported separately
-// through BWWait). A count of n aggregates exactly as n single calls at
-// the same clock would — heat maps, series rows and counters all scale
-// by n.
-func (r *Recorder) L2Miss(proc, accNode, homeNode int, addr, missCyc, clock int64, n int64) {
+// L2Miss records a secondary-cache miss: the accessing processor, its
+// node, the home (serving) node, the missed address, and the fetch
+// latency (excluding queuing, reported separately through BWWait).
+func (r *Recorder) L2Miss(proc, accNode, homeNode int, addr, missCyc, clock int64) {
 	if r != nil {
-		r.l2Miss(proc, accNode, homeNode, addr, missCyc, clock, n)
+		r.l2Miss(proc, accNode, homeNode, addr, missCyc, clock)
 	}
 }
 
-func (r *Recorder) l2Miss(proc, accNode, homeNode int, addr, missCyc, clock int64, n int64) {
+func (r *Recorder) l2Miss(proc, accNode, homeNode int, addr, missCyc, clock int64) {
 	po := &r.procObs[proc]
-	po.MissCyc += missCyc * n
+	po.MissCyc += missCyc
 	remote := accNode != homeNode
 	if remote {
-		r.counts[KL2MissRemote] += n
-		r.cur.RemoteMiss += n
-		r.cur.RemoteMissCyc += missCyc * n
-		po.RemoteMiss += n
+		r.counts[KL2MissRemote]++
+		r.cur.RemoteMiss++
+		r.cur.RemoteMissCyc += missCyc
+		po.RemoteMiss++
 	} else {
-		r.counts[KL2MissLocal] += n
-		r.cur.LocalMiss += n
-		r.cur.LocalMissCyc += missCyc * n
-		po.LocalMiss += n
+		r.counts[KL2MissLocal]++
+		r.cur.LocalMiss++
+		r.cur.LocalMissCyc += missCyc
+		po.LocalMiss++
 	}
 	ph := r.pageAt(addr)
 	ph.Home = homeNode
 	if remote {
-		ph.Remote += n
-		ph.RemoteByNode[accNode] += n
+		ph.Remote++
+		ph.RemoteByNode[accNode]++
 	} else {
-		ph.Local += n
+		ph.Local++
 	}
 	if ai := r.arrayAt(addr); ai != nil {
 		if remote {
-			ai.Nodes[accNode].RemoteMiss += n
-			ai.Nodes[homeNode].ServedRemote += n
+			ai.Nodes[accNode].RemoteMiss++
+			ai.Nodes[homeNode].ServedRemote++
 		} else {
-			ai.Nodes[accNode].LocalMiss += n
+			ai.Nodes[accNode].LocalMiss++
 		}
 	}
 	r.advanceNow(clock)
 }
 
-// TLBMiss records n identical TLB refills by processor proc on accNode
-// at addr, costing cyc cycles each.
-func (r *Recorder) TLBMiss(proc, accNode int, addr, cyc, clock int64, n int64) {
+// TLBMiss records a TLB refill by processor proc on accNode at addr,
+// costing cyc cycles.
+func (r *Recorder) TLBMiss(proc, accNode int, addr, cyc, clock int64) {
 	if r != nil {
-		r.tlbMiss(proc, accNode, addr, cyc, clock, n)
+		r.tlbMiss(proc, accNode, addr, cyc, clock)
 	}
 }
 
-func (r *Recorder) tlbMiss(proc, accNode int, addr, cyc, clock int64, n int64) {
-	r.counts[KTLBMiss] += n
-	r.cur.TLBMiss += n
-	r.cur.TLBCyc += cyc * n
+func (r *Recorder) tlbMiss(proc, accNode int, addr, cyc, clock int64) {
+	r.counts[KTLBMiss]++
+	r.cur.TLBMiss++
+	r.cur.TLBCyc += cyc
 	po := &r.procObs[proc]
-	po.TLBMiss += n
-	po.TLBCyc += cyc * n
+	po.TLBMiss++
+	po.TLBCyc += cyc
 	if ai := r.arrayAt(addr); ai != nil {
-		ai.Nodes[accNode].TLBMiss += n
+		ai.Nodes[accNode].TLBMiss++
 	}
 	r.advanceNow(clock)
 }
@@ -538,13 +526,13 @@ func (r *Recorder) Intervention() {
 	}
 }
 
-// BWWait records n waits of wait cycles each that processor proc spent
-// queued behind a node memory's bandwidth window.
-func (r *Recorder) BWWait(proc, node int, wait int64, n int64) {
+// BWWait records a wait of wait cycles that processor proc spent queued
+// behind a node memory's bandwidth window.
+func (r *Recorder) BWWait(proc, node int, wait int64) {
 	if r != nil {
-		r.counts[KBWWait] += n
-		r.cur.BWWaitCyc += wait * n
-		r.procObs[proc].BWWaitCyc += wait * n
+		r.counts[KBWWait]++
+		r.cur.BWWaitCyc += wait
+		r.procObs[proc].BWWaitCyc += wait
 		_ = node
 	}
 }
@@ -782,33 +770,6 @@ func (r *Recorder) Finish(finalClock int64) {
 	if r.trace != nil {
 		r.trace.flushSink()
 	}
-}
-
-// EpochOutcome records the disposition of one parallel-engine epoch:
-// committed (scout results replayed verbatim) or fallback (epoch re-run
-// serially after a divergence). Host-side diagnostics only — it must not
-// advance the simulated-time watermark or touch anything the snapshot
-// series reads, because the serial engine never calls it and series rows
-// are engine-independent. Epoch commit is also a flush point for the
-// stream sink: everything replayed so far is in serial event order.
-func (r *Recorder) EpochOutcome(committed bool) {
-	if r == nil {
-		return
-	}
-	if committed {
-		r.epochsCommitted++
-	} else {
-		r.epochsFallback++
-	}
-	if r.trace != nil {
-		r.trace.flushSink()
-	}
-}
-
-// EpochStats returns the parallel engine's epoch outcomes (both zero under
-// the serial engine).
-func (r *Recorder) EpochStats() (committed, fallback int64) {
-	return r.epochsCommitted, r.epochsFallback
 }
 
 // ProcObsAll returns a copy of the per-processor event-stream counters.

@@ -17,12 +17,12 @@ func testRecorder(nprocs int) *Recorder {
 // publish unconditionally through a possibly-nil recorder.
 func TestNilRecorderHooksAreNoOps(t *testing.T) {
 	var r *Recorder
-	r.L1Miss(0, 1)
-	r.L2Miss(0, 0, 1, 4096, 110, 10, 1)
-	r.TLBMiss(0, 0, 4096, 60, 10, 1)
+	r.L1Miss(0)
+	r.L2Miss(0, 0, 1, 4096, 110, 10)
+	r.TLBMiss(0, 0, 4096, 60, 10)
 	r.Invalidations(3)
 	r.Intervention()
-	r.BWWait(0, 0, 24, 1)
+	r.BWWait(0, 0, 24)
 	r.BarrierWait(0, 100, 40)
 	r.PagePlaced(1, 0, PlaceFirstTouch, false)
 	r.PageMigrated(1, 0, 1)
@@ -39,8 +39,8 @@ func TestNilRecorderHooksAreNoOps(t *testing.T) {
 
 func TestCountsAndKindNames(t *testing.T) {
 	r := testRecorder(4)
-	r.L1Miss(0, 1)
-	r.L1Miss(1, 1)
+	r.L1Miss(0)
+	r.L1Miss(1)
 	r.Invalidations(5)
 	r.Intervention()
 	if got := r.Count(KL1Miss); got != 2 {
@@ -75,11 +75,11 @@ func TestArrayAttribution(t *testing.T) {
 	r.RegisterArray("main.a", [][2]int64{{4096, 8192}})
 	r.RegisterArray("main.b", [][2]int64{{16384, 16896}, {20480, 20992}})
 
-	r.L2Miss(0, 0, 0, 4096, 70, 100, 1)   // a, local
-	r.L2Miss(2, 1, 0, 5000, 110, 200, 1)  // a, remote
-	r.L2Miss(0, 0, 1, 20480, 110, 300, 1) // b (second portion), remote
-	r.L2Miss(0, 0, 0, 12288, 70, 400, 1)  // between arrays: unattributed
-	r.TLBMiss(2, 1, 4097, 60, 500, 1)
+	r.L2Miss(0, 0, 0, 4096, 70, 100)   // a, local
+	r.L2Miss(2, 1, 0, 5000, 110, 200)  // a, remote
+	r.L2Miss(0, 0, 1, 20480, 110, 300) // b (second portion), remote
+	r.L2Miss(0, 0, 0, 12288, 70, 400)  // between arrays: unattributed
+	r.TLBMiss(2, 1, 4097, 60, 500)
 
 	a := r.ArrayHeat("main.a")
 	if a == nil {
@@ -111,16 +111,16 @@ func TestRegionAccounting(t *testing.T) {
 	r := testRecorder(4)
 
 	// Serial activity before the region lands in "(serial)".
-	r.L2Miss(0, 0, 0, 0, 70, 500, 1)
+	r.L2Miss(0, 0, 0, 0, 70, 500)
 
 	r.RegionBegin("work$r0", "main.f", 12, 1000, 4)
-	r.L2Miss(0, 0, 1, 0, 110, 1100, 1)
-	r.TLBMiss(0, 0, 0, 60, 1200, 1)
+	r.L2Miss(0, 0, 1, 0, 110, 1100)
+	r.TLBMiss(0, 0, 0, 60, 1200)
 	r.BarrierWait(2, 1900, 100)
 	r.RegionEnd([]int64{2000, 1990, 1980, 2000}, 2000)
 
 	// Serial activity after the region goes back to "(serial)".
-	r.L2Miss(0, 0, 0, 0, 70, 2100, 1)
+	r.L2Miss(0, 0, 0, 0, 70, 2100)
 	r.Finish(2500)
 
 	rg := r.Region("work$r0")
@@ -248,7 +248,7 @@ func TestSummarizeWriters(t *testing.T) {
 	r := testRecorder(4)
 	r.RegisterArray("main.a", [][2]int64{{4096, 8192}})
 	r.RegionBegin("work$r0", "main.f", 3, 0, 4)
-	r.L2Miss(0, 0, 1, 4200, 110, 100, 1)
+	r.L2Miss(0, 0, 1, 4200, 110, 100)
 	r.RegionEnd([]int64{900, 900, 900, 900}, 1000)
 	r.SetMeta("sources", "main.f")
 	r.Finish(1100)

@@ -11,9 +11,9 @@
 //     them at the end of the run; events past the cap are counted as
 //     dropped.
 //   - streaming (SetTraceSink): events drain to a StreamSink at flush
-//     points (region boundaries, parallel-engine epoch commits, Finish,
-//     and every sinkFlushEvery events), so memory stays bounded by the
-//     flush interval and a crash mid-run leaves a loadable partial spool.
+//     points (region boundaries, Finish, and every sinkFlushEvery
+//     events), so memory stays bounded by the flush interval and a crash
+//     mid-run leaves a loadable partial spool.
 package obs
 
 import (
@@ -152,10 +152,9 @@ func (t *Trace) add(ev TraceEvent) {
 	}
 }
 
-// flushSink hands buffered events to the sink in order. Only called at
-// points where the event stream is in its committed serial order (the
-// recorder is single-threaded under both engines, and the parallel engine
-// only reaches flush points after replaying an epoch).
+// flushSink hands buffered events to the sink in order. The recorder is
+// fed from the one simulation goroutine, so the stream is always in
+// event order.
 func (t *Trace) flushSink() {
 	if t.sink == nil || len(t.events) == 0 {
 		return

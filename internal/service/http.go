@@ -44,6 +44,29 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// maxRequestBytes bounds a POST /jobs or /batch body. The largest body the
+// repository's own clients send, a full-scale dsmbench -remote figure
+// sweep, is under 30 KB; the bound leaves ample room for big programs
+// while keeping one request from exhausting the daemon's memory.
+const maxRequestBytes = 8 << 20
+
+// decodeBody decodes a size-bounded JSON request body into v, answering
+// 413 for an oversized body and 400 for malformed JSON. It reports whether
+// decoding succeeded.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, err)
+	return false
+}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -64,8 +87,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	j, attached, err := s.Submit(&req)
@@ -101,8 +123,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	jobs, attached, err := s.SubmitBatch(&req)

@@ -81,7 +81,6 @@ func TestSeriesEndpointMatchesLocalRun(t *testing.T) {
 		Policy:       spec.Policy,
 		Quantum:      spec.Quantum,
 		RedistSerial: spec.RedistSerial,
-		Engine:       spec.engine,
 		Tier:         spec.tier,
 		Recorder:     rec,
 	}); err != nil {

@@ -5,7 +5,7 @@
 // core.BuildCache for compiled images and a persistent disk Store
 // (store.go) holding both compile entries and run-result documents.
 //
-// The simulator is deterministic (bit-identical across engines and tiers),
+// The simulator is deterministic (bit-identical across execution tiers),
 // so a run result is a pure function of its JobSpec: N users submitting
 // the same job cost one simulation, ever. Three mechanisms enforce that:
 //
@@ -80,18 +80,17 @@ type JobRequest struct {
 	// Redist is the c$redistribute model: scheduled | serial
 	// (default scheduled).
 	Redist string `json:"redist,omitempty"`
-	// Engine and Tier pick the host execution engine/tier (default auto).
-	// They are NOT part of the cache key: results are bit-identical
-	// across all of them.
-	Engine string `json:"engine,omitempty"`
-	Tier   string `json:"tier,omitempty"`
+	// Tier picks the host execution tier (default auto). It is NOT part
+	// of the cache key: results are bit-identical across tiers. (Older
+	// clients may still send an "engine" field; it is ignored.)
+	Tier string `json:"tier,omitempty"`
 	// Tenant attributes the job for per-tenant concurrency limiting
 	// (default "default").
 	Tenant string `json:"tenant,omitempty"`
 	// Sample sets the live-series sampling interval in simulated cycles
-	// (0 = the obs default). Host-side observability only: like Engine and
-	// Tier it is NOT part of the cache key, and a submission served from
-	// the result cache has no series of its own.
+	// (0 = the obs default). Host-side observability only: like Tier it
+	// is NOT part of the cache key, and a submission served from the
+	// result cache has no series of its own.
 	Sample int64 `json:"sample,omitempty"`
 	// NoWait makes POST /jobs return immediately with the queued job
 	// instead of blocking until it finishes.
@@ -102,7 +101,6 @@ type JobRequest struct {
 // host-side knobs that are deliberately outside it.
 type jobSpec struct {
 	core.JobSpec
-	engine exec.Engine
 	tier   exec.Tier
 	sample int64
 	mach   func(int) *machine.Config
@@ -288,10 +286,6 @@ func validate(req *JobRequest) (jobSpec, error) {
 	default:
 		return spec, fmt.Errorf("service: unknown redist model %q (accepted: scheduled, serial)", req.Redist)
 	}
-	engine, err := exec.ParseEngine(orDefault(req.Engine, "auto"))
-	if err != nil {
-		return spec, fmt.Errorf("service: %w", err)
-	}
 	tier, err := exec.ParseTier(orDefault(req.Tier, "auto"))
 	if err != nil {
 		return spec, fmt.Errorf("service: %w", err)
@@ -317,7 +311,7 @@ func validate(req *JobRequest) (jobSpec, error) {
 		Quantum:       req.Quantum,
 		RedistSerial:  redistSerial,
 	}
-	spec.engine, spec.tier = engine, tier
+	spec.tier = tier
 	spec.sample = req.Sample
 	return spec, nil
 }
@@ -511,13 +505,7 @@ func (s *Server) schedule() {
 
 // runJob executes one job and publishes its outcome.
 func (s *Server) runJob(j *Job, grant int) {
-	var data []byte
-	var err error
-	if s.opts.runJob != nil {
-		data, err = s.opts.runJob(j)
-	} else {
-		data, err = s.simulate(j)
-	}
+	data, err := s.execute(j)
 
 	s.mu.Lock()
 	if err != nil {
@@ -555,6 +543,22 @@ func (s *Server) runJob(j *Job, grant int) {
 	s.schedule()
 }
 
+// execute runs the build-and-simulate step, turning a panic anywhere in
+// it into the job's error: one bad job fails alone instead of taking down
+// the daemon and every other in-flight job. A panicking simulation never
+// reaches the store write at the end of simulate, so nothing is cached.
+func (s *Server) execute(j *Job) (data []byte, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			data, err = nil, fmt.Errorf("service: simulation panicked: %v", r)
+		}
+	}()
+	if s.opts.runJob != nil {
+		return s.opts.runJob(j)
+	}
+	return s.simulate(j)
+}
+
 // simulate is the real build-and-run step: compile through the two-level
 // compile cache, execute with a live recorder (feeding /jobs/{id}/snapshot
 // and /jobs/{id}/series — observability never changes simulated cycles),
@@ -575,7 +579,6 @@ func (s *Server) simulate(j *Job) ([]byte, error) {
 		Policy:       j.spec.Policy,
 		Quantum:      j.spec.Quantum,
 		RedistSerial: j.spec.RedistSerial,
-		Engine:       j.spec.engine,
 		Tier:         j.spec.tier,
 		Recorder:     rec,
 	})

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -296,5 +298,71 @@ func TestServerValidation(t *testing.T) {
 		if _, _, err := srv.Submit(req); err == nil {
 			t.Errorf("bad request %d was admitted", i)
 		}
+	}
+}
+
+// TestServerPanicFailsOnlyThatJob: a panic in the build/simulate step
+// fails its own job and nothing else. The failed job is not cached, and it
+// gives back its inflight entry, tenant slot and hostpool grant, so a
+// resubmission simulates afresh and the server keeps serving.
+func TestServerPanicFailsOnlyThatJob(t *testing.T) {
+	prev := hostpool.SetBudget(2)
+	defer hostpool.SetBudget(prev)
+	store, err := OpenStore(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var panics atomic.Int32
+	release := make(chan struct{})
+	srv := New(Options{
+		Store:       store,
+		TenantLimit: 2,
+		runJob: func(j *Job) ([]byte, error) {
+			switch src := j.spec.Sources["x.f"]; {
+			case strings.HasSuffix(src, "/0"):
+				<-release
+			case strings.HasSuffix(src, "/1") && panics.Add(1) == 1:
+				panic("simulator bug")
+			}
+			return []byte(`{"v":1}`), nil
+		},
+	})
+	blocker, _, err := srv.Submit(fakeReq("t", 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitStats(t, srv, func(st Stats) bool { return st.Running == 1 })
+	// Starts while blocker runs, so it holds a hostpool grant.
+	bad, _, err := srv.Submit(fakeReq("t", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, srv, bad)
+	if bad.State != StateFailed || !strings.Contains(bad.Err, "simulator bug") {
+		t.Fatalf("panicking job: state %s, err %q", bad.State, bad.Err)
+	}
+	if store.Contains(KindResult, bad.Key) {
+		t.Fatal("a panicked job was written to the store")
+	}
+	waitStats(t, srv, func(st Stats) bool { return st.Running == 1 && hostpool.InUse() == 0 })
+
+	close(release)
+	waitDone(t, srv, blocker)
+	if blocker.State != StateDone {
+		t.Fatalf("job running beside the panic ended %s: %s", blocker.State, blocker.Err)
+	}
+	again, attached, err := srv.Submit(fakeReq("t", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, srv, again)
+	if attached || again == bad || again.State != StateDone {
+		t.Fatalf("resubmission: attached=%v same=%v state %s", attached, again == bad, again.State)
+	}
+	srv.mu.Lock()
+	left := len(srv.tenantRunning) + len(srv.inflight)
+	srv.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("%d tenant/inflight entries leaked", left)
 	}
 }
