@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"unsafe"
 
 	"dsmdist/internal/machine"
 	"dsmdist/internal/obs"
@@ -439,34 +440,59 @@ func New(cfg *machine.Config, pm *ospage.Manager) (*System, error) {
 }
 
 // Alloc reserves n bytes of virtual address space aligned to align (which
-// must be a power of two, at least 8) and returns the base address. The
-// space is zero-filled and unplaced; pages materialize on first touch or
-// explicit placement.
+// must be a power of two, at least 8), grows the backing tables to cover
+// it and returns the base address. The space is zero-filled and unplaced;
+// pages materialize on first touch or explicit placement. Alloc is Reserve
+// followed by Grow; a loader that knows its whole layout up front reserves
+// everything first and grows once.
 func (s *System) Alloc(n int64, align int64) int64 {
+	base := s.Reserve(n, align)
+	s.Grow()
+	return base
+}
+
+// Reserve advances brk by n bytes aligned to align (a power of two, at
+// least 8) and returns the aligned base. It touches no backing table:
+// until the next Grow the reserved space must not be read, written or
+// simulated.
+func (s *System) Reserve(n int64, align int64) int64 {
 	if align < 8 {
 		align = 8
 	}
 	base := (s.brk + align - 1) &^ (align - 1)
 	s.brk = base + n
-	need := (s.brk + 7) >> 3
-	for int64(len(s.mem)) < need {
-		grow := need - int64(len(s.mem))
-		s.mem = append(s.mem, make([]uint64, grow)...)
-	}
-	needDir := (s.brk >> s.l2Shift) + 1
-	for int64(len(s.dir)) < needDir {
-		grow := needDir - int64(len(s.dir))
-		chunk := make([]dirEntry, grow)
-		for i := range chunk {
-			chunk[i].owner = -1
-		}
-		s.dir = append(s.dir, chunk...)
-	}
-	needPages := (s.brk >> s.Pages.PageShift()) + 1
-	for int64(len(s.pageMiss)) < needPages {
-		s.pageMiss = append(s.pageMiss, make([]int64, needPages-int64(len(s.pageMiss)))...)
-	}
 	return base
+}
+
+// Grow sizes the backing store, the directory and the page-miss table to
+// cover brk, with one exact-size allocation each for whatever they lack.
+// New backing words and page-miss counters are zero; new directory entries
+// have no owner.
+func (s *System) Grow() {
+	if need := (s.brk + 7) >> 3; int64(len(s.mem)) < need {
+		mem := make([]uint64, need)
+		copy(mem, s.mem)
+		s.mem = mem
+	}
+	if need := (s.brk >> s.l2Shift) + 1; int64(len(s.dir)) < need {
+		dir := make([]dirEntry, need)
+		n := copy(dir, s.dir)
+		for i := range dir[n:] {
+			dir[n+i].owner = -1
+		}
+		s.dir = dir
+	}
+	if need := (s.brk >> s.Pages.PageShift()) + 1; int64(len(s.pageMiss)) < need {
+		pm := make([]int64, need)
+		copy(pm, s.pageMiss)
+		s.pageMiss = pm
+	}
+}
+
+// BackingBytes returns the bytes held by the tables Grow sizes: the
+// backing store, the directory and the page-miss table.
+func (s *System) BackingBytes() int64 {
+	return int64(cap(s.mem))*8 + int64(cap(s.dir))*int64(unsafe.Sizeof(dirEntry{})) + int64(cap(s.pageMiss))*8
 }
 
 // PageMisses returns the total L2 misses charged to pages overlapping the

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"dsmdist/internal/codegen"
 	"dsmdist/internal/link"
 	"dsmdist/internal/machine"
 	"dsmdist/internal/obj"
@@ -14,6 +15,28 @@ import (
 	"dsmdist/internal/workloads"
 	"dsmdist/internal/xform"
 )
+
+// buildImage compiles and links one source at -O3.
+func buildImage(t testing.TB, name, src string) *codegen.Result {
+	t.Helper()
+	o, err := obj.Compile(name+".f", src)
+	if err != nil {
+		t.Fatalf("%s: compile: %v", name, err)
+	}
+	img, err := link.Link([]*obj.Object{o}, link.Config{Opt: xform.O3()})
+	if err != nil {
+		t.Fatalf("%s: link: %v", name, err)
+	}
+	return img.Res
+}
+
+// cloneRes returns res with a fresh copy of its program, which loading
+// patches in place.
+func cloneRes(res *codegen.Result) *codegen.Result {
+	c := *res
+	c.Prog = res.Prog.Clone()
+	return &c
+}
 
 // layoutCase is one image the layout golden pins.
 type layoutCase struct {
@@ -60,20 +83,11 @@ func layoutDump(t *testing.T) string {
 	t.Helper()
 	var b strings.Builder
 	for _, c := range layoutCases {
-		o, err := obj.Compile(c.name+".f", c.src)
-		if err != nil {
-			t.Fatalf("%s: compile: %v", c.name, err)
-		}
-		img, err := link.Link([]*obj.Object{o}, link.Config{Opt: xform.O3()})
-		if err != nil {
-			t.Fatalf("%s: link: %v", c.name, err)
-		}
+		img := buildImage(t, c.name, c.src)
 		for _, p := range []int{1, 4, 16} {
 			cfg := layoutMachine(c, p)
 			rec := obs.NewRecorder(cfg)
-			res := *img.Res
-			res.Prog = img.Res.Prog.Clone()
-			rt, err := LoadObs(&res, cfg, ospage.FirstTouch, rec)
+			rt, err := LoadObs(cloneRes(img), cfg, ospage.FirstTouch, rec)
 			if err != nil {
 				t.Fatalf("%s p=%d: load: %v", c.name, p, err)
 			}

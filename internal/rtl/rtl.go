@@ -120,9 +120,17 @@ type pushedArg struct {
 // StackBytes is the per-processor stack segment size.
 const StackBytes = 256 << 10
 
-// poolChunk is the allocation granularity of per-processor reshaped pools.
+// pool is one processor's reshaped-portion pool (§4.3): the unused tail
+// [cur, end) of the latest chunk carved for it.
 type pool struct {
 	cur, end int64
+}
+
+// poolChunk is one pool growth: n bytes at base, reserved for processor p
+// and placed on p's node.
+type poolChunk struct {
+	p       int
+	base, n int64
 }
 
 // Load materializes the compiled image: allocates static data, builds
@@ -137,6 +145,14 @@ func Load(res *codegen.Result, cfg *machine.Config, policy ospage.Policy) (*Runt
 // load-time events (explicit distribution placement, pool growth) are
 // captured, and the runtime registers every array's address ranges for
 // miss attribution.
+//
+// Loading runs in three phases so the memory system's backing tables are
+// allocated once, at their final size: layout reserves every address
+// (static symbols, processor stacks, reshaped portions), one Grow sizes
+// the tables to brk, and fill writes descriptors and portion tables and
+// places pages. Fill places in the order pages were always claimed —
+// stacks, then each array in plan order, pool chunks before the array's
+// portion table — because a page's first claim decides its node.
 func LoadObs(res *codegen.Result, cfg *machine.Config, policy ospage.Policy, rec *obs.Recorder) (*Runtime, error) {
 	pages := ospage.New(cfg)
 	pages.SetPolicy(policy)
@@ -155,37 +171,44 @@ func LoadObs(res *codegen.Result, cfg *machine.Config, policy ospage.Policy, rec
 		argTable: map[int64][]pushedArg{},
 	}
 
-	// Static data symbols.
+	// Layout: static data symbols, per-processor stacks, then arrays.
 	for _, s := range res.Prog.Syms {
 		if s.Bytes <= 0 {
 			s.Bytes = 8
 		}
-		s.Addr = sys.Alloc(s.Bytes, s.Align)
+		s.Addr = sys.Reserve(s.Bytes, s.Align)
 	}
 	if err := res.Prog.Patch(); err != nil {
 		return nil, err
 	}
-
-	// Per-processor stacks, placed locally.
 	pb := int64(cfg.PageBytes)
 	for p := 0; p < cfg.NProcs; p++ {
-		base := sys.Alloc(StackBytes, pb)
+		base := sys.Reserve(StackBytes, pb)
 		rt.StackBase = append(rt.StackBase, base)
 		rt.StackEnd = append(rt.StackEnd, base+StackBytes)
-		pages.Place(base, base+StackBytes, cfg.NodeOf(p), false)
 	}
-
-	// Arrays.
 	pools := make([]pool, cfg.NProcs)
-	for _, plan := range res.Arrays {
-		st, err := rt.loadArray(plan, pools)
+	grown := make([][]poolChunk, len(res.Arrays))
+	for i, plan := range res.Arrays {
+		st, chunks, err := rt.layoutArray(plan, pools)
 		if err != nil {
 			return nil, err
 		}
+		grown[i] = chunks
 		rt.Arrays = append(rt.Arrays, st)
 		if st.DescAddr != 0 {
 			rt.byDesc[st.DescAddr] = st
 		}
+	}
+
+	sys.Grow()
+
+	// Fill: stacks placed locally, then each array.
+	for p := range rt.StackBase {
+		pages.Place(rt.StackBase[p], rt.StackEnd[p], cfg.NodeOf(p), false)
+	}
+	for i, st := range rt.Arrays {
+		rt.fillArray(st, grown[i])
 	}
 	if rec != nil {
 		for _, st := range rt.Arrays {
@@ -268,19 +291,22 @@ func (st *ArrayState) AddrRanges() [][2]int64 {
 	return [][2]int64{{st.Base, st.Base + st.TotalElems()*8}}
 }
 
-// loadArray materializes one array.
-func (rt *Runtime) loadArray(plan *codegen.ArrayPlan, pools []pool) (*ArrayState, error) {
+// layoutArray builds one array's runtime state and assigns its addresses:
+// the grid and dimension maps, the descriptor, and for a reshaped array
+// its portions, carved from the pools. It returns the pool chunks the
+// portions grew; nothing is written or placed until fillArray.
+func (rt *Runtime) layoutArray(plan *codegen.ArrayPlan, pools []pool) (*ArrayState, []poolChunk, error) {
 	st := &ArrayState{Plan: plan}
 	if plan.DataSym >= 0 {
 		st.Base = rt.Prog.Syms[plan.DataSym].Addr + plan.DataOffset
 	}
 	if plan.Spec == nil {
-		return st, nil
+		return st, nil, nil
 	}
 
 	grid, err := dist.NewGrid(*plan.Spec, rt.Cfg.NProcs)
 	if err != nil {
-		return nil, fmt.Errorf("rtl: %s.%s: %w", plan.Unit, plan.Name, err)
+		return nil, nil, fmt.Errorf("rtl: %s.%s: %w", plan.Unit, plan.Name, err)
 	}
 	st.Grid = grid
 	intDims := make([]int, len(plan.Dims))
@@ -289,17 +315,38 @@ func (rt *Runtime) loadArray(plan *codegen.ArrayPlan, pools []pool) (*ArrayState
 	}
 	st.Maps, err = grid.Maps(intDims)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	st.DescAddr = rt.Prog.Syms[plan.DescSym].Addr
-	rt.writeDescriptor(st)
-
-	if plan.Spec.Reshape {
-		rt.allocPortions(st, pools)
-	} else {
-		rt.placeRegular(st, false)
+	if !plan.Spec.Reshape {
+		return st, nil, nil
 	}
-	return st, nil
+	return st, rt.allocPortions(st, pools), nil
+}
+
+// fillArray writes a laid-out array into simulated memory and places its
+// pages: the descriptor, then for a reshaped array the pool chunks it grew
+// and its portion table, for a regular one the §4.2 placement.
+func (rt *Runtime) fillArray(st *ArrayState, grown []poolChunk) {
+	if st.Plan.Spec == nil {
+		return
+	}
+	rt.writeDescriptor(st)
+	if !st.Plan.Spec.Reshape {
+		rt.placeRegular(st, false)
+		return
+	}
+	for _, c := range grown {
+		node := rt.Cfg.NodeOf(c.p)
+		rt.Pages.Place(c.base, c.base+c.n, node, false)
+		if rt.Rec != nil {
+			rt.Rec.PoolAlloc(c.p, node, c.n)
+		}
+	}
+	tbl := st.DescAddr + codegen.DescTableOff(len(st.Maps))
+	for p, addr := range st.Portions {
+		rt.Sys.Poke(tbl+int64(p)*8, uint64(addr))
+	}
 }
 
 // writeDescriptor fills the N/P/B/K/ML fields for every dimension.
@@ -322,39 +369,36 @@ func (rt *Runtime) writeDescriptor(st *ArrayState) {
 	}
 }
 
-// allocPortions builds the processor-array representation of a reshaped
-// array (§4.3, Figure 3): each linear grid processor's portion is allocated
+// allocPortions lays out the processor-array representation of a reshaped
+// array (§4.3, Figure 3): each linear grid processor's portion is carved
 // from that processor's local pool — so portions need no padding to page
-// boundaries — and the portion table is written into the descriptor.
-func (rt *Runtime) allocPortions(st *ArrayState, pools []pool) {
+// boundaries. It returns the pool chunks reserved on the way, in order.
+func (rt *Runtime) allocPortions(st *ArrayState, pools []pool) []poolChunk {
 	per := int64(8)
 	for _, m := range st.Maps {
 		per *= int64(m.MaxPortionLen())
 	}
 	st.PortionBytes = per
 	st.Portions = make([]int64, st.Grid.Used)
-	tbl := st.DescAddr + codegen.DescTableOff(len(st.Maps))
+	var grown []poolChunk
 	for p := 0; p < st.Grid.Used; p++ {
-		addr := rt.poolAlloc(&pools[p], p, per)
-		st.Portions[p] = addr
-		rt.Sys.Poke(tbl+int64(p)*8, uint64(addr))
+		st.Portions[p] = rt.poolAlloc(&pools[p], p, per, &grown)
 	}
+	return grown
 }
 
-// poolAlloc bump-allocates from processor p's local pool, growing it in
-// page-multiple chunks placed on p's node.
-func (rt *Runtime) poolAlloc(pl *pool, p int, n int64) int64 {
+// poolAlloc bump-allocates from processor p's local pool, growing it by a
+// reserved page-multiple chunk (at least 16 pages) when it runs out; each
+// growth is appended to grown for fillArray to place on p's node.
+func (rt *Runtime) poolAlloc(pl *pool, p int, n int64, grown *[]poolChunk) int64 {
 	if pl.cur+n > pl.end {
 		pb := int64(rt.Cfg.PageBytes)
 		chunk := (n + pb - 1) / pb * pb
 		if chunk < 16*pb {
 			chunk = 16 * pb
 		}
-		base := rt.Sys.Alloc(chunk, pb)
-		rt.Pages.Place(base, base+chunk, rt.Cfg.NodeOf(p), false)
-		if rt.Rec != nil {
-			rt.Rec.PoolAlloc(p, rt.Cfg.NodeOf(p), chunk)
-		}
+		base := rt.Sys.Reserve(chunk, pb)
+		*grown = append(*grown, poolChunk{p: p, base: base, n: chunk})
 		pl.cur, pl.end = base, base+chunk
 	}
 	a := pl.cur

@@ -38,17 +38,19 @@ type storeEntry struct {
 	Key  string `json:"key"`
 	Size int64  `json:"size"`
 	// Seq is the LRU clock: higher = more recently used. Persisted with
-	// the index so recency survives restarts (Get bumps are flushed
-	// lazily — on the next Put, on Close, or after flushEveryGets
-	// unflushed bumps).
+	// the index so recency survives restarts. Put and Get changes reach
+	// the index lazily: on Close, or once flushEvery of them sit
+	// unflushed (an unindexed object is re-adopted cold on reopen).
 	Seq int64 `json:"seq"`
 }
 
-// flushEveryGets bounds how many Get recency bumps may sit unflushed. A
-// read-heavy daemon killed uncleanly (kill -9, OOM) then loses at most
-// this much recency instead of all of it, so the next eviction pass runs
-// on near-current LRU order rather than the order as of the last Put.
-const flushEveryGets = 64
+// flushEvery bounds how many index changes (Put insertions, Get recency
+// bumps) may sit unflushed. Rewriting the whole index on every Put cost
+// more than the Put itself; flushing every flushEvery changes keeps that
+// cost off the request path while a daemon killed uncleanly (kill -9,
+// OOM) loses at most this much recency. It loses no objects: OpenStore
+// re-adopts object files the index does not name.
+const flushEvery = 64
 
 // storeIndex is the on-disk index document.
 type storeIndex struct {
@@ -66,7 +68,7 @@ type Store struct {
 	bytes    int64
 	seq      int64
 	dirty    bool // index has unflushed recency/membership changes
-	getBumps int  // Get recency bumps since the last flush
+	pending  int  // Put and Get index changes since the last flush
 
 	hits, misses, evictions int64
 }
@@ -176,13 +178,8 @@ func (s *Store) Get(kind Kind, key string) ([]byte, bool) {
 	}
 	s.seq++
 	e.Seq = s.seq
-	s.dirty = true
 	s.hits++
-	if s.getBumps++; s.getBumps >= flushEveryGets {
-		// Best effort: a failed flush leaves the index dirty and the next
-		// Put/Close/threshold crossing retries; the Get itself succeeded.
-		_ = s.flushLocked()
-	}
+	s.changedLocked()
 	return data, true
 }
 
@@ -195,7 +192,8 @@ func (s *Store) Contains(kind Kind, key string) bool {
 	return ok
 }
 
-// Put inserts (or refreshes) a payload and flushes the index. Entries
+// Put inserts (or refreshes) a payload; the index records it lazily (see
+// flushEvery). Entries
 // larger than the whole store bound are rejected silently (cache, not
 // storage). The content-addressed contract makes overwrites idempotent:
 // same key, same bytes.
@@ -226,9 +224,20 @@ func (s *Store) Put(kind Kind, key string, data []byte) error {
 	s.seq++
 	s.entries[id] = &storeEntry{Kind: kind, Key: key, Size: int64(len(data)), Seq: s.seq}
 	s.bytes += int64(len(data))
-	s.dirty = true
 	s.evictOverLocked()
-	return s.flushLocked()
+	s.changedLocked()
+	return nil
+}
+
+// changedLocked marks the index dirty and flushes it once flushEvery
+// changes are pending. The flush is best effort: a failure leaves the
+// index dirty for the next threshold crossing or Close to retry, and the
+// object itself is already safe on disk. Callers hold mu.
+func (s *Store) changedLocked() {
+	s.dirty = true
+	if s.pending++; s.pending >= flushEvery {
+		_ = s.flushLocked()
+	}
 }
 
 // dropLocked removes an entry and its file. Callers hold mu.
@@ -278,11 +287,11 @@ func (s *Store) flushLocked() error {
 		return fmt.Errorf("service: store flush: %w", err)
 	}
 	s.dirty = false
-	s.getBumps = 0
+	s.pending = 0
 	return nil
 }
 
-// Flush persists any pending index changes (recency bumps from Gets).
+// Flush persists any pending index changes (Puts and recency bumps).
 func (s *Store) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

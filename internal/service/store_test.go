@@ -141,8 +141,8 @@ func TestStoreRestart(t *testing.T) {
 
 // TestStoreGetRecencyFlushWithoutClose: a Get-heavy store abandoned
 // without Close (kill -9, OOM) keeps near-current LRU order — recency
-// bumps are flushed after every flushEveryGets unflushed Gets, not only
-// on the next Put/Close.
+// bumps are flushed after every flushEvery unflushed Gets, not only
+// on Close.
 func TestStoreGetRecencyFlushWithoutClose(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenStore(dir, 30) // fits exactly three 10-byte payloads
@@ -156,7 +156,7 @@ func TestStoreGetRecencyFlushWithoutClose(t *testing.T) {
 		}
 	}
 	// Get-only traffic on key 1, enough to cross the flush threshold.
-	for i := 0; i < flushEveryGets; i++ {
+	for i := 0; i < flushEvery; i++ {
 		if _, ok := s.Get(KindResult, hexKey(1)); !ok {
 			t.Fatal("key 1 missing")
 		}
@@ -175,6 +175,63 @@ func TestStoreGetRecencyFlushWithoutClose(t *testing.T) {
 	}
 	if !s2.Contains(KindResult, hexKey(1)) {
 		t.Fatal("Get-bumped entry evicted after an unclean shutdown: recency lost")
+	}
+}
+
+// TestStorePutFlushWithoutClose: Puts reach the index lazily, every
+// flushEvery changes. A Put-heavy store abandoned without Close keeps every
+// object (unindexed ones are re-adopted) and the recency order of its last
+// flush, including a Get bump taken between the Puts.
+func TestStorePutFlushWithoutClose(t *testing.T) {
+	dir := t.TempDir()
+	n := flushEvery + 10
+	bound := int64(n) * 10 // fits exactly n 10-byte payloads
+	pay := func(k int) []byte { return []byte(fmt.Sprintf("payload%03d", k)) }
+	s, err := OpenStore(dir, bound)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 1; k <= n; k++ {
+		if err := s.Put(KindResult, hexKey(k), pay(k)); err != nil {
+			t.Fatal(err)
+		}
+		if k == 3 { // bump: LRU order becomes 2, 3, 1, 4, ...
+			if _, ok := s.Get(KindResult, hexKey(1)); !ok {
+				t.Fatal("key 1 missing")
+			}
+		}
+	}
+
+	// Abandon s WITHOUT Close and reopen.
+	s2, err := OpenStore(dir, bound)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s2.Len() != n {
+		t.Fatalf("reopened Len = %d, want %d", s2.Len(), n)
+	}
+	for k := 1; k <= n; k++ {
+		if !s2.Contains(KindResult, hexKey(k)) {
+			t.Fatalf("key %d lost across an unclean shutdown", k)
+		}
+	}
+	// Each Put over the bound evicts the flushed LRU entry: 2, then 3,
+	// then 1 (its bump was flushed), never by re-adoption order.
+	for i, want := range []int{2, 3, 1} {
+		if err := s2.Put(KindResult, hexKey(n+1+i), pay(n+1+i)); err != nil {
+			t.Fatal(err)
+		}
+		if s2.Contains(KindResult, hexKey(want)) {
+			t.Fatalf("eviction %d kept key %d: flushed recency order lost", i+1, want)
+		}
+		if s2.Len() != n {
+			t.Fatalf("eviction %d: Len = %d, want %d", i+1, s2.Len(), n)
+		}
+	}
+	for k := 4; k <= n; k++ {
+		if got, ok := s2.Get(KindResult, hexKey(k)); !ok || !bytes.Equal(got, pay(k)) {
+			t.Fatalf("key %d payload = %q, %v", k, got, ok)
+		}
 	}
 }
 
