@@ -151,8 +151,8 @@ func Load(res *codegen.Result, cfg *machine.Config, policy ospage.Policy) (*Runt
 // (static symbols, processor stacks, reshaped portions), one Grow sizes
 // the tables to brk, and fill writes descriptors and portion tables and
 // places pages. Fill places in the order pages were always claimed —
-// stacks, then each array in plan order, pool chunks before the array's
-// portion table — because a page's first claim decides its node.
+// stacks, then each array in plan order — because a page's first claim
+// decides its node.
 func LoadObs(res *codegen.Result, cfg *machine.Config, policy ospage.Policy, rec *obs.Recorder) (*Runtime, error) {
 	pages := ospage.New(cfg)
 	pages.SetPolicy(policy)

@@ -45,11 +45,11 @@ type storeEntry struct {
 }
 
 // flushEvery bounds how many index changes (Put insertions, Get recency
-// bumps) may sit unflushed. Rewriting the whole index on every Put cost
-// more than the Put itself; flushing every flushEvery changes keeps that
-// cost off the request path while a daemon killed uncleanly (kill -9,
-// OOM) loses at most this much recency. It loses no objects: OpenStore
-// re-adopts object files the index does not name.
+// bumps) may sit unflushed. A flush rewrites the whole index, which costs
+// more than the change itself; batching keeps it off most requests, and a
+// daemon killed uncleanly (kill -9, OOM) loses at most this much recency
+// and no objects: OpenStore re-adopts object files the index does not
+// name.
 const flushEvery = 64
 
 // storeIndex is the on-disk index document.
