@@ -42,11 +42,10 @@ func cloneRes(res *codegen.Result) *codegen.Result {
 type layoutCase struct {
 	name string
 	src  string
-	// nodeFrac, when non-zero, shrinks node memory to the LU data size
-	// divided by nodeFrac (the lu-sweep shape), so load-time placement
-	// spills and the order of page claims decides more nodes.
-	nodeFrac float64
-	luN      int
+	// luNodes shrinks node memory to the LU data size / 1.44 (the
+	// lu-sweep shape), so load-time placement spills and the order of
+	// page claims decides more nodes.
+	luNodes bool
 }
 
 const layoutLUN = 12
@@ -56,21 +55,17 @@ var layoutCases = []layoutCase{
 	{name: "transpose-reshaped", src: workloads.Transpose(128, 1, workloads.Reshaped)},
 	{name: "conv1-reshaped", src: workloads.Convolution(64, 1, 1, workloads.Reshaped)},
 	{name: "conv2-reshaped", src: workloads.Convolution(64, 1, 2, workloads.Reshaped)},
-	{name: "lu-regular", src: workloads.LU(layoutLUN, 1, workloads.Regular), nodeFrac: 1.44, luN: layoutLUN},
-	{name: "lu-reshaped", src: workloads.LU(layoutLUN, 1, workloads.Reshaped), nodeFrac: 1.44, luN: layoutLUN},
+	{name: "lu-regular", src: workloads.LU(layoutLUN, 1, workloads.Regular), luNodes: true},
+	{name: "lu-reshaped", src: workloads.LU(layoutLUN, 1, workloads.Reshaped), luNodes: true},
 }
 
 // layoutMachine is the scaled machine, with node memory shrunk for the LU
 // cases the way the experiment harness does.
 func layoutMachine(c layoutCase, p int) *machine.Config {
 	cfg := machine.Scaled(p)
-	if c.nodeFrac > 0 {
-		data := int64(2) * 5 * int64(c.luN) * int64(c.luN) * int64(c.luN) * 8
-		node := int(float64(data) / c.nodeFrac)
-		if node < 4*cfg.PageBytes {
-			node = 4 * cfg.PageBytes
-		}
-		cfg.NodeMemBytes = node
+	if c.luNodes {
+		data := 2 * 5 * layoutLUN * layoutLUN * layoutLUN * 8
+		cfg.NodeMemBytes = int(float64(data) / 1.44)
 	}
 	return cfg
 }
